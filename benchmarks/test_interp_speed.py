@@ -1,7 +1,8 @@
 """Interpreter throughput — legacy loop vs. pre-decoded vs. compiled engine.
 
-Times all three engines on a set of PolyBench kernels and reports wall-clock
-instructions/second plus the speedup ratios.  The pre-decoded threaded
+Times all three engines on a set of PolyBench kernels in interleaved rounds
+(:func:`repro.obs.bench.interleaved_rounds`) and reports wall-clock
+instructions/second plus the median per-round speedup ratios.  The pre-decoded threaded
 dispatcher (``repro.wasm.predecode``) must deliver >= 3x over the legacy
 loop on at least two kernels, and the Wasm→Python compilation engine
 (``repro.wasm.compile_engine``) must deliver >= 3x geomean over predecode —
@@ -21,14 +22,18 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/test_interp_speed.py -q -s
 from __future__ import annotations
 
 import json
-import math
 import pathlib
-import time
+import statistics
 
 import pytest
 
 from benchmarks.conftest import emit_table, record
-from repro.obs.bench import TRAJECTORY_LIMIT, append_point
+from repro.obs.bench import (
+    TRAJECTORY_LIMIT,
+    interleaved_rounds,
+    paired_ratio,
+    write_bench,
+)
 from repro.wasm.interpreter import Instance
 from repro.workloads import POLYBENCH_KERNELS
 
@@ -40,21 +45,22 @@ KERNELS = ["gemm", "2mm", "jacobi-1d", "jacobi-2d", "trisolv", "atax"]
 
 ENGINES = ["legacy", "predecode", "compile"]
 
+ROUNDS = 5
 
-def _time_engine(name: str, engine: str) -> tuple[float, int]:
-    """Run one kernel under one engine; return (seconds, executed)."""
+
+def _engine_arm(name: str, engine: str, executed: set[int]):
+    """One kernel run under one engine; instantiation and setup untimed."""
     spec = POLYBENCH_KERNELS[name]
-    instance = Instance(spec.compile().clone(), engine=engine)
-    for fn, args in spec.setup:
-        instance.invoke(fn, *args)
-    start = time.perf_counter()
-    instance.invoke(spec.run[0], *spec.run[1])
-    elapsed = time.perf_counter() - start
-    return elapsed, instance.stats.executed
 
+    def run(lap) -> None:
+        instance = Instance(spec.compile().clone(), engine=engine)
+        for fn, args in spec.setup:
+            instance.invoke(fn, *args)
+        with lap:
+            instance.invoke(spec.run[0], *spec.run[1])
+        executed.add(instance.stats.executed)
 
-def _geomean(values: list[float]) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -62,67 +68,40 @@ def speed_rows():
     rows = []
     results = {}
     for name in KERNELS:
-        seconds = {}
-        executed = None
-        for engine in ENGINES:
-            elapsed, count = _time_engine(name, engine)
-            seconds[engine] = elapsed
-            if executed is None:
-                executed = count
-            else:
-                assert count == executed, "engines disagree on instruction count"
-        ips = {engine: executed / seconds[engine] for engine in ENGINES}
-        speedup = ips["predecode"] / ips["legacy"]
-        compile_speedup = ips["compile"] / ips["predecode"]
+        counts: set[int] = set()
+        measured = interleaved_rounds(
+            {engine: _engine_arm(name, engine, counts) for engine in ENGINES},
+            ROUNDS,
+        )
+        config = measured.pop("config")
+        assert len(counts) == 1, "engines disagree on instruction count"
+        executed = counts.pop()
+        ips = {e: executed / measured["arms"][e]["median"] for e in ENGINES}
+        speedup = paired_ratio(measured, "legacy", "predecode")
+        compile_speedup = paired_ratio(measured, "predecode", "compile")
         rows.append(
-            [
-                name,
-                executed,
-                f"{ips['legacy'] / 1e6:.2f}",
-                f"{ips['predecode'] / 1e6:.2f}",
-                f"{ips['compile'] / 1e6:.2f}",
-                f"{speedup:.2f}x",
-                f"{compile_speedup:.2f}x",
-            ]
+            [name, executed]
+            + [f"{ips[engine] / 1e6:.2f}" for engine in ENGINES]
+            + [f"{speedup['median']:.2f}x", f"{compile_speedup['median']:.2f}x"]
         )
         results[name] = {
-            "executed": executed,
-            "legacy_seconds": round(seconds["legacy"], 6),
-            "predecode_seconds": round(seconds["predecode"], 6),
-            "compile_seconds": round(seconds["compile"], 6),
-            "legacy_ips": round(ips["legacy"]),
-            "predecode_ips": round(ips["predecode"]),
-            "compile_ips": round(ips["compile"]),
-            "speedup": round(speedup, 3),
-            "compile_speedup": round(compile_speedup, 3),
+            **measured, "executed": executed, "speedup": speedup,
+            "compile_speedup": compile_speedup,
+            "ips": {engine: round(value) for engine, value in ips.items()},
         }
 
-    path = REPO_ROOT / "BENCH_interp.json"
-    doc: dict = {}
-    if path.exists():
-        doc = json.loads(path.read_text())
-    doc["kernels"] = results
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    # one distilled, timestamped point per run; the helper caps the history
-    # and preserves the full per-kernel snapshot written above
-    point = {
-        "ts_s": time.time(),
-        "geomean_predecode_over_legacy": round(
-            _geomean([r["speedup"] for r in results.values()]), 3
-        ),
-        "geomean_compile_over_predecode": round(
-            _geomean([r["compile_speedup"] for r in results.values()]), 3
-        ),
-        "by_kernel": {
-            name: {
-                "legacy_ips": r["legacy_ips"],
-                "predecode_ips": r["predecode_ips"],
-                "compile_ips": r["compile_ips"],
-            }
-            for name, r in results.items()
-        },
+    def geomean(key: str) -> float:
+        return statistics.geometric_mean(r[key]["median"] for r in results.values())
+
+    bench_record = {
+        "config": config,
+        "kernels": results,
+        "geomean_predecode_over_legacy": geomean("speedup"),
+        "geomean_compile_over_predecode": geomean("compile_speedup"),
     }
-    append_point(str(path), point)
+    by_kernel = {name: r["ips"] for name, r in results.items()}
+    write_bench(str(REPO_ROOT / "BENCH_interp.json"), "interp_speed", bench_record,
+                {"by_kernel": by_kernel})
     return rows
 
 
@@ -155,17 +134,20 @@ def test_predecode_speedup_at_least_3x_on_two_kernels(speed_rows, benchmark):
 def test_compile_speedup_geomean_at_least_3x(speed_rows, benchmark):
     """The compile engine's acceptance bar: >= 3x geomean over predecode."""
     speedups = [float(row[6].rstrip("x")) for row in speed_rows]
-    geomean = _geomean(speedups)
+    geomean = statistics.geometric_mean(speedups)
     assert geomean >= 3.0, f"compile/predecode geomean too low: {geomean:.2f}"
     record(benchmark)
 
 
 def test_bench_json_written(speed_rows, benchmark):
     data = json.loads((REPO_ROOT / "BENCH_interp.json").read_text())
-    assert set(data["kernels"]) == set(KERNELS)
-    for entry in data["kernels"].values():
-        for column in ("legacy_ips", "predecode_ips", "compile_ips"):
-            assert entry[column] > 0
+    bench = data["interp_speed"]
+    assert set(bench["kernels"]) == set(KERNELS)
+    assert bench["config"]["python"] and bench["config"]["cores"] >= 1
+    for entry in bench["kernels"].values():
+        assert set(entry["arms"]) == set(ENGINES)
+        for summary in entry["arms"].values():
+            assert summary["n"] == ROUNDS and summary["median"] > 0
     record(benchmark)
 
 
@@ -174,6 +156,7 @@ def test_bench_trajectory_appended(speed_rows, benchmark):
     trajectory = data["trajectory"]
     assert 1 <= len(trajectory) <= TRAJECTORY_LIMIT
     latest = trajectory[-1]
+    assert latest["key"] == "interp_speed"
     assert latest["geomean_compile_over_predecode"] > 0
     assert set(latest["by_kernel"]) == set(KERNELS)
     record(benchmark)

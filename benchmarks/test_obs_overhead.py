@@ -17,6 +17,9 @@ Two layers of measurement:
   the legacy engine is inherently paid for only when ``--profile`` is asked
   for.
 
+Every ratio is the median per-round ratio of
+:func:`repro.obs.bench.interleaved_rounds`.
+
 Artefacts:
 
 * ``benchmarks/results/obs_overhead.txt`` — human-readable table;
@@ -30,8 +33,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import statistics
-import time
 
 import pytest
 
@@ -43,6 +44,7 @@ from repro.obs import (
     enable_tracing,
     get_registry,
 )
+from repro.obs.bench import interleaved_rounds, write_bench
 from repro.obs.events import EventLog, enable_events
 from repro.obs.events import emit as emit_event
 from repro.obs.metrics import Counter
@@ -51,11 +53,11 @@ from repro.wasm.interpreter import Instance
 from repro.workloads import POLYBENCH_KERNELS
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_obs.json"
+BENCH_PATH = str(REPO_ROOT / "BENCH_obs.json")
 
 KERNEL = "gemm"  # ~160k instructions: long enough to beat scheduler jitter
-RUNS = 7
-MICRO_ITERS = 200_000
+RUNS = 15
+MICRO_ITERS = 20_000
 
 #: Relative overhead ceilings (fractions). The enabled bound is the CI gate.
 DISABLED_CEILING = 0.02
@@ -70,23 +72,26 @@ def _obs_off():
     get_registry().reset()
 
 
-def _merge_bench(payload: dict) -> None:
-    try:
-        existing = json.loads(BENCH_PATH.read_text())
-        if not isinstance(existing, dict):
-            existing = {}
-    except (OSError, ValueError):
-        existing = {}
-    existing.update(payload)
-    BENCH_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
+def _enable(profile: bool = False) -> None:
+    enable_tracing()
+    enable_metrics()
+    if profile:
+        enable_profiling()
 
 
-def _time_loop(fn, iters: int) -> float:
-    """Average per-call wall time of ``fn`` in nanoseconds."""
-    start = time.perf_counter_ns()
-    for _ in range(iters):
-        fn()
-    return (time.perf_counter_ns() - start) / iters
+def _micro_arm(call, enabled: bool):
+    """``MICRO_ITERS`` calls of ``call`` with observability off or on."""
+
+    def run(lap) -> None:
+        if enabled:
+            _enable()
+            enable_events(EventLog(capacity=MICRO_ITERS + 1))
+        with lap:
+            for _ in range(MICRO_ITERS):
+                call()
+        disable_all()
+
+    return run
 
 
 def _micro_costs() -> dict[str, float]:
@@ -102,104 +107,68 @@ def _micro_costs() -> dict[str, float]:
     def emit_call():
         emit_event("probe", tenant="t")
 
-    def baseline():
-        pass
-
-    costs = {}
-    costs["call_baseline_ns"] = _time_loop(baseline, MICRO_ITERS)
-    costs["span_disabled_ns"] = _time_loop(span_call, MICRO_ITERS)
-    costs["counter_disabled_ns"] = _time_loop(counter_call, MICRO_ITERS)
-    costs["emit_disabled_ns"] = _time_loop(emit_call, MICRO_ITERS)
-    tracer = enable_tracing()
-    enable_metrics()
-    enable_events(EventLog(capacity=MICRO_ITERS + 1))
-    costs["span_enabled_ns"] = _time_loop(span_call, MICRO_ITERS)
-    costs["counter_enabled_ns"] = _time_loop(counter_call, MICRO_ITERS)
-    costs["emit_enabled_ns"] = _time_loop(emit_call, MICRO_ITERS)
-    tracer.clear()
-    disable_all()
-    return costs
+    calls = {"span": span_call, "counter": counter_call, "emit": emit_call}
+    arms = {"call_baseline": _micro_arm(lambda: None, False)}
+    for state in ("disabled", "enabled"):
+        for name, call in calls.items():
+            arms[f"{name}_{state}"] = _micro_arm(call, state == "enabled")
+    return interleaved_rounds(arms, RUNS)
 
 
-def _kernel_run_seconds(engine: str) -> float:
-    """One interpreter run of the kernel, wall seconds (setup untimed)."""
+def _kernel_arm(engine: str, setup):
+    """One interpreter run of the kernel under an obs configuration."""
     spec = POLYBENCH_KERNELS[KERNEL]
-    instance = Instance(spec.compile().clone(), engine=engine)
-    for fn, args in spec.setup:
-        instance.invoke(fn, *args)
-    start = time.perf_counter()
-    instance.invoke(spec.run[0], *spec.run[1])
-    return time.perf_counter() - start
 
-
-def _paired_rounds(engine: str, rounds: int) -> dict[str, object]:
-    """Measure every obs configuration back to back, ``rounds`` times.
-
-    Run-to-run jitter on shared/virtualised hardware dwarfs the effect being
-    measured, so absolute best-of-N comparisons across separate phases are
-    meaningless.  Instead each round times off, off-again, traced + metered
-    and profiled within a few hundred milliseconds of each other and the
-    overheads are taken as the *median of per-round ratios* — slow drift
-    (CPU frequency scaling, noisy neighbours) hits both sides of each ratio
-    equally and cancels.
-    """
-    ratios = {"off2": [], "traced": [], "profiled": []}
-    best_off = float("inf")
-    for _ in range(rounds):
-        disable_all()
-        off = _kernel_run_seconds(engine)
-        off2 = _kernel_run_seconds(engine)
-        tracer = enable_tracing()
-        enable_metrics()
-        traced = _kernel_run_seconds(engine)
-        enable_profiling()
-        profiled = _kernel_run_seconds(engine)
-        tracer.clear()
+    def run(lap) -> None:
+        instance = Instance(spec.compile().clone(), engine=engine)
+        for fn, args in spec.setup:
+            instance.invoke(fn, *args)
+        setup()
+        with lap:
+            instance.invoke(spec.run[0], *spec.run[1])
         disable_all()
         get_registry().reset()
-        best_off = min(best_off, off)
-        ratios["off2"].append(off2 / off)
-        ratios["traced"].append(traced / off)
-        ratios["profiled"].append(profiled / off)
-    return {
-        "best_off_s": best_off,
-        "medians": {k: statistics.median(v) for k, v in ratios.items()},
-    }
+
+    return run
 
 
 @pytest.fixture(scope="module")
 def overhead_numbers():
+    """No-op micro costs, and kernel runs with obs off, off again, traced +
+    metered and profiled, in interleaved rounds per engine."""
     disable_all()
     micro = _micro_costs()
-
-    results = {"micro_ns": micro, "end_to_end": {}}
+    micro_ns = {f"{name}_ns": summary["median"] / MICRO_ITERS * 1e9
+                for name, summary in micro["arms"].items()}
+    results = {"config": micro.pop("config"), "micro_ns": micro_ns, "micro": micro,
+               "end_to_end": {}}
     rows = [
-        ["span (disabled)", f"{micro['span_disabled_ns']:.0f} ns", "-"],
-        ["span (enabled)", f"{micro['span_enabled_ns']:.0f} ns", "-"],
-        ["counter.inc (disabled)", f"{micro['counter_disabled_ns']:.0f} ns", "-"],
-        ["counter.inc (enabled)", f"{micro['counter_enabled_ns']:.0f} ns", "-"],
-        ["event emit (disabled)", f"{micro['emit_disabled_ns']:.0f} ns", "-"],
-        ["event emit (enabled)", f"{micro['emit_enabled_ns']:.0f} ns", "-"],
+        [f"{name} ({state})", f"{micro_ns[f'{name}_{state}_ns']:.0f} ns", "-"]
+        for name in ("span", "counter", "emit")
+        for state in ("disabled", "enabled")
     ]
 
     for engine in ("predecode", "legacy"):
-        disable_all()
-        _kernel_run_seconds(engine)  # warm parse/compile caches
-        paired = _paired_rounds(engine, RUNS)
-        medians = paired["medians"]
-
-        jitter = abs(medians["off2"] - 1.0)
-        overhead = medians["traced"] - 1.0
-        profiled_overhead = medians["profiled"] - 1.0
+        setups = {"off": lambda: None, "off2": lambda: None, "traced": _enable,
+                  "profiled": lambda: _enable(profile=True)}
+        measured = interleaved_rounds(
+            {name: _kernel_arm(engine, setup) for name, setup in setups.items()},
+            RUNS, baseline="off", config={"engine": engine},
+        )
+        ratios = measured["ratios"]
+        overhead = ratios["traced"]["median"] - 1.0
+        profiled_overhead = ratios["profiled"]["median"] - 1.0
+        off_s = measured["arms"]["off"]["median"]
         results["end_to_end"][engine] = {
+            **measured,
             "kernel": KERNEL,
-            "obs_off_s": paired["best_off_s"],
-            "disabled_jitter": jitter,
+            "obs_off_s": off_s,
+            "disabled_jitter": abs(ratios["off2"]["median"] - 1.0),
             "enabled_overhead": overhead,
             "profiled_overhead": profiled_overhead,
         }
         rows.append(
-            [f"{KERNEL} ({engine})", f"{paired['best_off_s'] * 1e3:.1f} ms off",
+            [f"{KERNEL} ({engine})", f"{off_s * 1e3:.1f} ms off",
              f"{overhead * 100:+.1f}% traced+metered, "
              f"{profiled_overhead * 100:+.1f}% profiled"]
         )
@@ -210,7 +179,7 @@ def overhead_numbers():
         ["probe", "cost", "overhead"],
         rows,
     )
-    _merge_bench({"obs_overhead": results})
+    write_bench(BENCH_PATH, "obs_overhead", results)
     return results
 
 
@@ -264,62 +233,64 @@ def test_enabled_overhead_under_ci_gate(overhead_numbers, benchmark):
 
 
 def test_bench_artifact_written(overhead_numbers, benchmark):
-    doc = json.loads(BENCH_PATH.read_text())
+    doc = json.loads(pathlib.Path(BENCH_PATH).read_text())
     assert "obs_overhead" in doc
     assert set(doc["obs_overhead"]["end_to_end"]) == {"predecode", "legacy"}
+    assert doc["obs_overhead"]["config"]["cores"] >= 1
     record(benchmark)
 
 
-# -- telemetry pipeline: event log + aggregation riding a metered loadtest -----
+# -- loadtest overheads: telemetry pipeline, distributed tracing ---------------
 
-PIPELINE_ROUNDS = 5
+LOADTEST_ROUNDS = 9
 PIPELINE_CEILING = 0.05  # the CI gate for the full pipeline
+TRACE_CEILING = 0.05  # the CI gate for tracing + backhaul + stitching
 
 
-def _loadtest_wall(pipeline: bool) -> float:
+def _loadtest_arm(stitched: list[bool] | None = None, **options):
+    """A 12-request x 2-worker loadtest's own wall time (bring-up excluded)."""
     from repro.service.gateway import run_loadtest
 
-    result = run_loadtest(
-        worker_counts=(2,), requests=12, pool="thread", backend="wasm",
-        kernels=("trisolv",), verify_serial=False, quota_probe=False,
-        pipeline=pipeline,
+    def run(_lap) -> float:
+        result = run_loadtest(
+            worker_counts=(2,), requests=12, pool="thread", backend="wasm",
+            kernels=("trisolv",), verify_serial=False, quota_probe=False,
+            **options,
+        )
+        if stitched is not None:
+            stitched.append(result["trace_ok"])
+        return result["sweep"][0]["wall_s"]
+
+    return run
+
+
+def _loadtest_overhead(name: str, title: str, probe: str, off, on, **config) -> dict:
+    """Interleaved off/on rounds; the overhead is the median per-round
+    wall-clock ratio minus one."""
+    disable_all()
+    measured = interleaved_rounds(
+        {"off": off, "on": on}, LOADTEST_ROUNDS, baseline="off",
+        config={"pool": "thread", **config},
     )
-    return result["sweep"][0]["wall_s"]
+    overhead = measured["ratios"]["on"]["median"] - 1.0
+    emit_table(
+        name, f"{title} (interleaved rounds)", ["probe", "cost", "overhead"],
+        [[probe, f"{measured['arms']['off']['median'] * 1e3:.1f} ms off",
+          f"{overhead * 100:+.1f}%"]],
+    )
+    return {**measured, "overhead": overhead}
 
 
 @pytest.fixture(scope="module")
 def pipeline_numbers():
-    """Paired on/off rounds of a real metered loadtest.
-
-    Same methodology as :func:`_paired_rounds`: each round runs the identical
-    workload with the pipeline off then on within seconds of each other, and
-    the overhead is the median of per-round wall-clock ratios, so machine
-    drift cancels instead of masquerading as pipeline cost.
-    """
-    disable_all()
-    _loadtest_wall(False)  # warm module/compile caches
-    ratios = []
-    best_off = float("inf")
-    for _ in range(PIPELINE_ROUNDS):
-        off = _loadtest_wall(False)
-        on = _loadtest_wall(True)
-        best_off = min(best_off, off)
-        ratios.append(on / off)
-    overhead = statistics.median(ratios) - 1.0
-    results = {
-        "rounds": PIPELINE_ROUNDS,
-        "best_off_s": best_off,
-        "overhead": overhead,
-        "ratios": ratios,
-    }
-    emit_table(
+    """A metered loadtest with events + aggregation + audit off vs on."""
+    results = _loadtest_overhead(
         "obs_pipeline_overhead",
-        "Telemetry pipeline overhead on a metered loadtest (paired rounds)",
-        ["probe", "cost", "overhead"],
-        [["loadtest 12 req x 2 workers (wasm)", f"{best_off * 1e3:.1f} ms off",
-          f"{overhead * 100:+.1f}% with events+aggregation+audit"]],
+        "Telemetry pipeline overhead on a metered loadtest",
+        "loadtest 12 req x 2 workers (wasm), events+aggregation+audit",
+        _loadtest_arm(pipeline=False), _loadtest_arm(pipeline=True),
     )
-    _merge_bench({"obs_pipeline_overhead": results})
+    write_bench(BENCH_PATH, "obs_pipeline_overhead", results)
     return results
 
 
@@ -331,62 +302,30 @@ def test_pipeline_overhead_under_gate(pipeline_numbers, benchmark):
     record(benchmark)
 
 
-# -- distributed tracing: context propagation + worker telemetry backhaul ------
-
-TRACE_ROUNDS = 5
-TRACE_CEILING = 0.05  # the CI gate for tracing + backhaul + stitching
-
-
-def _traced_loadtest(trace_out: str | None) -> dict:
-    from repro.service.gateway import run_loadtest
-
-    # preemption in both arms: every checkpoint re-dispatch is an extra hop
-    # whose capture must ship home, so the traced arm pays the backhaul at
-    # its worst while the untraced arm pays the same preemption cost
-    return run_loadtest(
-        worker_counts=(2,), requests=12, pool="thread", backend="wasm",
-        kernels=("trisolv",), verify_serial=False, quota_probe=False,
-        preempt_after=400, trace_out=trace_out,
-    )
-
-
 @pytest.fixture(scope="module")
 def trace_numbers(tmp_path_factory):
-    """Paired rounds of a preempting loadtest, untraced vs fully traced.
+    """A preempting loadtest, untraced vs fully traced.
 
     The traced arm mints a context per request, activates the worker-side
     capture on every hop, ships spans/events/metric deltas back inside each
     ``WorkerResult``, merges them into the gateway tracer and verifies the
-    per-request stitch — the complete distributed-tracing path.
+    per-request stitch — the complete distributed-tracing path.  Both arms
+    preempt: every checkpoint re-dispatch is an extra hop whose capture must
+    ship home, so the traced arm pays the backhaul at its worst while the
+    untraced arm pays the same preemption cost.
     """
-    disable_all()
     trace_out = str(tmp_path_factory.mktemp("trace") / "trace.json")
-    _traced_loadtest(None)  # warm module/compile caches
-    ratios = []
-    best_off = float("inf")
-    stitched = True
-    for _ in range(TRACE_ROUNDS):
-        off = _traced_loadtest(None)["sweep"][0]["wall_s"]
-        traced_result = _traced_loadtest(trace_out)
-        stitched = stitched and traced_result["trace_ok"]
-        best_off = min(best_off, off)
-        ratios.append(traced_result["sweep"][0]["wall_s"] / off)
-    overhead = statistics.median(ratios) - 1.0
-    results = {
-        "rounds": TRACE_ROUNDS,
-        "best_off_s": best_off,
-        "overhead": overhead,
-        "ratios": ratios,
-        "stitched_every_round": stitched,
-    }
-    emit_table(
+    stitched: list[bool] = []
+    results = _loadtest_overhead(
         "trace_backhaul_overhead",
-        "Distributed tracing overhead on a preempting loadtest (paired rounds)",
-        ["probe", "cost", "overhead"],
-        [["loadtest 12 req x 2 workers, preempted", f"{best_off * 1e3:.1f} ms off",
-          f"{overhead * 100:+.1f}% with propagation+backhaul+stitch"]],
+        "Distributed tracing overhead on a preempting loadtest",
+        "loadtest 12 req x 2 workers, preempted, propagation+backhaul+stitch",
+        _loadtest_arm(preempt_after=400),
+        _loadtest_arm(stitched, preempt_after=400, trace_out=trace_out),
+        preempt_after=400,
     )
-    _merge_bench({"trace_backhaul_overhead": results})
+    results["stitched_every_round"] = all(stitched)
+    write_bench(BENCH_PATH, "trace_backhaul_overhead", results)
     return results
 
 

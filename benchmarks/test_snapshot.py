@@ -19,22 +19,19 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/test_snapshot.py -q -s``.
 
 from __future__ import annotations
 
-import json
-import math
 import pathlib
-import time
+import statistics
 
 import pytest
 
 from benchmarks.conftest import emit_table, record
 from repro.core.instrumentation_enclave import InstrumentationEnclave
-from repro.obs.bench import append_point
+from repro.obs.bench import interleaved_rounds, write_bench
 from repro.service.warmpool import WarmPool
 from repro.wasm.interpreter import ExecutionLimits, Instance
 from repro.wasm.runtime import HostEnvironment, IOChannel
 from repro.wasm.snapshot import (
     SnapshotCaptured,
-    capture_instance,
     decode_snapshot,
     encode_snapshot,
 )
@@ -44,7 +41,7 @@ REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 KERNELS = ["trisolv", "atax", "jacobi-1d"]
 ENGINES = ["predecode", "compile"]
-ROUNDS = 30
+ROUNDS = 15
 REQUIRED_SPEEDUP = 5.0
 
 
@@ -54,29 +51,20 @@ def _instrumented(name: str):
     return result.module
 
 
-def _cold_setup_s(module, engine: str) -> float:
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        channel = IOChannel()
-        env = HostEnvironment(channel=channel, account_io=True)
-        env.instantiate(module, limits=ExecutionLimits(), engine=engine)
-    return (time.perf_counter() - start) / ROUNDS
+def _setup_arms(module, engine: str, pool: WarmPool) -> dict:
+    """Cold set-up (instantiate + bind) against a warm-pool acquire/release."""
 
+    def cold(lap) -> None:
+        with lap:
+            channel = IOChannel()
+            env = HostEnvironment(channel=channel, account_io=True)
+            env.instantiate(module, limits=ExecutionLimits(), engine=engine)
 
-def _warm_setup_s(module, engine: str) -> float:
-    pool = WarmPool(module=module, engine=engine, max_size=1)
-    pool.release(pool.acquire())  # pay the single build up front
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        handle = pool.acquire()
-        pool.release(handle)
-    elapsed = (time.perf_counter() - start) / ROUNDS
-    assert pool.stats()["builds"] == 1
-    return elapsed
+    def warm(lap) -> None:
+        with lap:
+            pool.release(pool.acquire())
 
-
-def _geomean(values: list[float]) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return {"cold": cold, "warm": warm}
 
 
 @pytest.fixture(scope="module")
@@ -87,22 +75,15 @@ def warm_rows():
         module = _instrumented(name)
         per_engine = {}
         for engine in ENGINES:
-            cold_s = _cold_setup_s(module, engine)
-            warm_s = _warm_setup_s(module, engine)
-            speedup = cold_s / warm_s
-            per_engine[engine] = {
-                "cold_setup_us": round(cold_s * 1e6, 2),
-                "warm_setup_us": round(warm_s * 1e6, 2),
-                "speedup": round(speedup, 2),
-            }
+            pool = WarmPool(module=module, engine=engine, max_size=1)
+            measured = interleaved_rounds(_setup_arms(module, engine, pool), ROUNDS,
+                                          baseline="warm", config={"engine": engine})
+            assert pool.stats()["builds"] == 1
+            per_engine[engine] = measured
             rows.append(
-                [
-                    name,
-                    engine,
-                    f"{cold_s * 1e6:.1f}",
-                    f"{warm_s * 1e6:.1f}",
-                    f"{speedup:.1f}x",
-                ]
+                [name, engine]
+                + [f"{measured['arms'][arm]['median'] * 1e6:.1f}" for arm in ("cold", "warm")]
+                + [f"{measured['ratios']['cold']['median']:.1f}x"]
             )
         results[name] = per_engine
 
@@ -113,50 +94,27 @@ def warm_rows():
     for fn, args in spec.setup:
         inst.invoke(fn, *args)
     inst.limits = ExecutionLimits(snapshot_at=inst.stats.executed + 2000)
-    snapshot_bytes = None
-    try:
+    with pytest.raises(SnapshotCaptured) as captured:
         inst.invoke(spec.run[0], *spec.run[1])
-    except SnapshotCaptured as exc:
-        start = time.perf_counter()
-        for _ in range(ROUNDS):
-            blob = encode_snapshot(exc.snapshot)
-            decode_snapshot(blob)
-        roundtrip_s = (time.perf_counter() - start) / ROUNDS
-        snapshot_bytes = len(encode_snapshot(exc.snapshot))
-        results["snapshot_roundtrip"] = {
-            "bytes": snapshot_bytes,
-            "encode_decode_us": round(roundtrip_s * 1e6, 2),
-        }
+    snapshot = captured.value.snapshot
 
-    speedups = [
-        results[name][engine]["speedup"] for name in KERNELS for engine in ENGINES
-    ]
+    def roundtrip(lap) -> None:
+        with lap:
+            decode_snapshot(encode_snapshot(snapshot))
+
+    codec = interleaved_rounds({"roundtrip": roundtrip}, ROUNDS)
+    speedups = [results[name][engine]["ratios"]["cold"]["median"]
+                for name in KERNELS for engine in ENGINES]
     summary = {
+        "config": codec.pop("config"),
         "kernels": results,
-        "geomean_speedup": round(_geomean(speedups), 2),
-        "min_speedup": round(min(speedups), 2),
+        "snapshot_bytes": len(encode_snapshot(snapshot)),
+        "snapshot_roundtrip": codec["arms"]["roundtrip"],
+        "geomean_speedup": statistics.geometric_mean(speedups),
+        "min_speedup": min(speedups),
         "required_speedup": REQUIRED_SPEEDUP,
-        "rounds": ROUNDS,
     }
-
-    path = REPO_ROOT / "BENCH_snapshot.json"
-    doc: dict = {}
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError:
-            doc = {}
-    doc.update(summary)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    append_point(
-        str(path),
-        {
-            "ts_s": time.time(),
-            "geomean_speedup": summary["geomean_speedup"],
-            "min_speedup": summary["min_speedup"],
-            "snapshot_bytes": snapshot_bytes,
-        },
-    )
+    write_bench(str(REPO_ROOT / "BENCH_snapshot.json"), "warm_start", summary)
     return rows, summary
 
 
@@ -175,7 +133,7 @@ def test_warm_start_at_least_5x(warm_rows, benchmark):
     """The warm-pool acceptance bar: >= 5x cheaper setup, every cell."""
     _rows, summary = warm_rows
     assert summary["min_speedup"] >= REQUIRED_SPEEDUP, (
-        f"warm-start speedup below bar: {summary}"
+        f"warm-start speedup below bar: min {summary['min_speedup']:.1f}x"
     )
     record(benchmark)
 

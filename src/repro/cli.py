@@ -336,6 +336,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     """Sweep gateway worker counts; write BENCH_service.json."""
     import json
 
+    from repro.obs.bench import read_bench
     from repro.service.gateway import run_loadtest
 
     worker_counts = tuple(int(w) for w in args.workers.split(","))
@@ -494,18 +495,13 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         },
         "sweeps": sweeps,
     }
-    out_path = pathlib.Path(args.out)
-    if out_path.exists():
-        # the bench file may carry a perf-history trajectory (--bench-append);
-        # rewriting the latest report must not wipe it
-        try:
-            previous = json.loads(out_path.read_text())
-        except ValueError:
-            previous = {}
-        for key in ("trajectory", "trajectory_schema"):
-            if key in previous:
-                report[key] = previous[key]
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
+    # the bench file may carry a perf-history trajectory (--bench-append);
+    # rewriting the latest report must not wipe it
+    previous = read_bench(args.out)
+    for key in ("trajectory", "trajectory_schema"):
+        if key in previous:
+            report[key] = previous[key]
+    pathlib.Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
     if args.slo_out:
         slo_report = {
@@ -523,23 +519,16 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         from repro.obs import disable_metrics
 
         disable_metrics()
-        metrics_path = pathlib.Path(args.metrics_out)
-        merged = {}
-        if metrics_path.exists():
-            try:
-                merged = json.loads(metrics_path.read_text())
-            except ValueError:
-                merged = {}
+        merged = read_bench(args.metrics_out)
         merged["loadtest_metrics"] = registry.snapshot()
-        metrics_path.write_text(json.dumps(merged, indent=2) + "\n")
+        pathlib.Path(args.metrics_out).write_text(json.dumps(merged, indent=2) + "\n")
         print(f"metrics snapshot merged into {args.metrics_out}")
     return 0 if ok else 1
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
     """Control-plane scale soak: sweep tenant decades, gate the curve flat."""
-    import json
-
+    from repro.obs.bench import write_bench
     from repro.obs.soak import run_scale_soak
 
     counts = tuple(int(c) for c in args.tenants.split(","))
@@ -554,19 +543,22 @@ def cmd_soak(args: argparse.Namespace) -> int:
         isolate=not args.no_isolate,
     )
     for point in result["points"]:
+        spread = result["arms"][str(point["tenants"])]
         print(
             f"tenants={point['tenants']:>9}: "
             f"{point['per_request_us']:6.1f}us/req "
-            f"(norm {point['per_request_us_norm']:6.1f}us)  "
+            f"(q1-q3 {spread['q1']:.1f}-{spread['q3']:.1f})  "
             f"rss={point['rss_mb']:6.1f}MB  "
             f"overflow={point['overflow_ratio']:.2f}  "
             f"resident={point['structures']['admission_resident']}  "
             f"tracked={point['structures']['rollup_tracked']}"
         )
     gates = result["gates"]
+    ratio = result["overhead_ratio"]
     print(
-        f"overhead ratio (largest/smallest, drift-normalised): "
-        f"{gates['overhead_ratio']:.3f} (gate {gates['max_overhead_ratio']})"
+        f"overhead ratio (largest/smallest, median of {ratio['n']} rounds): "
+        f"{ratio['median']:.3f} (q1-q3 {ratio['q1']:.3f}-{ratio['q3']:.3f}, "
+        f"gate {gates['max_overhead_ratio']})"
     )
     print(
         f"gates: overhead={'ok' if gates['overhead_ok'] else 'FAIL'} "
@@ -574,7 +566,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
         f"top-recovered={'ok' if gates['top_recovered_ok'] else 'FAIL'} "
         f"rss={'ok' if gates['rss_ok'] else 'FAIL'}"
     )
-    pathlib.Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    write_bench(args.out, "scale_soak", result)
     print(f"wrote {args.out}")
     return 0 if result["ok"] else 1
 
@@ -1101,10 +1093,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=64,
                    help="Space-Saving capacity per sketch shard")
     p.add_argument("--max-resident", type=int, default=256,
-                   help="resident lazy quota states before idle eviction")
+                   help="resident lazy quota states before idle eviction "
+                        "(must be below the smallest tenant count)")
     p.add_argument("--max-overhead-ratio", type=float, default=1.25,
-                   help="gate: largest point's drift-normalised per-request "
-                        "overhead over the smallest point's")
+                   help="gate: median per-round ratio of the largest point's "
+                        "per-request overhead to the smallest point's")
     p.add_argument("--rss-ceiling-mb", type=float, default=None,
                    help="gate: fail if any point's RSS exceeds this")
     p.add_argument("--no-isolate", action="store_true",

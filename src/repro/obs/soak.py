@@ -32,9 +32,10 @@ tenant recoverable from the sketches — and the result is what
 
 from __future__ import annotations
 
-import time
+import gc
 
 from repro.obs import instruments
+from repro.obs.bench import Lap, interleaved_rounds, summarize
 from repro.obs.events import EventLog, disable_events, enable_events, get_event_log
 from repro.obs.metrics import (
     disable_metrics,
@@ -49,6 +50,13 @@ from repro.service.quota import AdmissionController, AdmissionError, TenantQuota
 
 #: Default sweep: one point per tenant-count decade.
 DEFAULT_TENANT_COUNTS = (1_000, 10_000, 100_000, 1_000_000)
+
+#: Interleaved rounds per sweep (after the warm-up).  A 1500-request point
+#: is ~60 ms, where per-round ratios on a shared 2-core host spread by about
+#: +-10% and 41 rounds hold the median within ~2%; points of 10k requests or
+#: more (a second or longer, an interpreter start each when isolated)
+#: average the drift out within a run, so 11 rounds suffice for them.
+ROUNDS, LONG_POINT_ROUNDS, LONG_POINT_REQUESTS = 41, 11, 10_000
 
 #: Modeled service-time palette (seconds); tenants cycle through it so
 #: latency histograms see spread without a random source.
@@ -125,34 +133,6 @@ def _vm_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _calibration_us(iters: int = 50_000) -> float:
-    """Machine-speed probe: µs per iteration of a fixed dict/str op mix.
-
-    Sweep points run minutes apart, and on a shared machine the CPU the
-    process actually gets drifts meaningfully over that span (frequency
-    scaling, co-tenant pressure).  A fixed probe timed adjacent to each
-    point's measured loop captures the machine's speed *at that moment*;
-    the soak gate compares points after normalising by it, so the overhead
-    curve reflects tenant-count scaling rather than when in the sweep a
-    point happened to run.  The op mix (string format, dict hit/miss,
-    small-int arithmetic) resembles the admit path so frequency effects
-    map comparably; min-of-3 passes for the same reason the point loop
-    reports its fastest chunk.
-    """
-    best = None
-    for _ in range(3):
-        probe: dict[str, int] = {}
-        started = time.perf_counter()
-        for i in range(iters):
-            key = "t%d" % (i & 1023)
-            value = probe.get(key)
-            probe[key] = 1 if value is None else value + 1
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best:
-            best = elapsed
-    return best / iters * 1e6
-
-
 def _registry_series_count() -> int:
     """Materialised labelsets across every registered instrument."""
     registry = get_registry()
@@ -212,46 +192,31 @@ def run_scale_point(
     palette = _MODELED_LATENCY_S
     rejected = 0
 
-    # The loop is timed in chunks and the *fastest* chunk is the reported
-    # per-request overhead: the first chunk absorbs structure warm-up (the
-    # tracked set and resident pool filling) and any chunk can be hit by
-    # scheduler noise, while the minimum is the steady-state cost the gate
-    # is about.  Chunk boundaries are identical across sweep points
-    # (requests is fixed), so points stay comparable.
-    chunks = 8
-    chunk_len = max(1, len(schedule) // chunks)
-    best_chunk_s = None
+    # the collector runs in the timed loop (collecting the soak's own
+    # garbage is part of what a request costs), over the objects the loop
+    # allocates only: freezing what exists beforehand (a test session's
+    # heap, this point's setup) keeps the host process's heap out of it
+    lap = Lap(pause_gc=False)
+    gc.freeze()
     try:
-        calibration_us = _calibration_us()
-        started = time.perf_counter()
-        chunk_started = started
-        for i, rank in enumerate(schedule):
-            tenant = "t%d" % rank
-            try:
-                admission.admit(tenant)
-            except AdmissionError as exc:
-                rejected += 1
-                log.emit("reject", tenant=tenant, code=exc.code)
-                continue
-            latency = palette[rank % len(palette)]
-            log.emit("admit", tenant=tenant)
-            requests_metric.inc(tenant=tenant, outcome="ok")
-            latency_metric.observe(latency, tenant=tenant)
-            log.emit("settled", tenant=tenant, outcome="ok", latency_s=latency)
-            admission.settle(tenant, weighted_instructions=1_000)
-            if i % 2048 == 2047:
-                engine.evaluate(aggregator)
-            if i % chunk_len == chunk_len - 1:
-                now = time.perf_counter()
-                chunk_s = now - chunk_started
-                chunk_started = now
-                if best_chunk_s is None or chunk_s < best_chunk_s:
-                    best_chunk_s = chunk_s
-        engine.evaluate(aggregator)
-        wall_s = time.perf_counter() - started
-        if best_chunk_s is None:
-            best_chunk_s = wall_s
-            chunk_len = max(1, len(schedule))
+        with lap:
+            for i, rank in enumerate(schedule):
+                tenant = "t%d" % rank
+                try:
+                    admission.admit(tenant)
+                except AdmissionError as exc:
+                    rejected += 1
+                    log.emit("reject", tenant=tenant, code=exc.code)
+                    continue
+                latency = palette[rank % len(palette)]
+                log.emit("admit", tenant=tenant)
+                requests_metric.inc(tenant=tenant, outcome="ok")
+                latency_metric.observe(latency, tenant=tenant)
+                log.emit("settled", tenant=tenant, outcome="ok", latency_s=latency)
+                admission.settle(tenant, weighted_instructions=1_000)
+                if i % 2048 == 2047:
+                    engine.evaluate(aggregator)
+            engine.evaluate(aggregator)
 
         census = aggregator.key_census()
         spill = aggregator.tenant_spill_info()
@@ -261,10 +226,7 @@ def run_scale_point(
             "tenants": tenants,
             "requests": requests,
             "rejected": rejected,
-            "wall_s": wall_s,
-            "per_request_us": best_chunk_s / chunk_len * 1e6,
-            "per_request_us_mean": wall_s / max(1, requests) * 1e6,
-            "calibration_us": calibration_us,
+            "per_request_us": lap.seconds / max(1, requests) * 1e6,
             "rss_mb": _vm_rss_mb(),
             "tenant_cardinality": spill["cardinality"],
             "overflow_ratio": aggregator.overflow_ratio(120.0),
@@ -286,6 +248,7 @@ def run_scale_point(
         }
         return point
     finally:
+        gc.unfreeze()
         if previous_log is not None:
             enable_events(previous_log)
         else:
@@ -354,20 +317,20 @@ def run_scale_soak(
 ) -> dict:
     """Sweep tenant counts; gate the overhead curve flat and structures bounded.
 
-    The default budgets sit deliberately *well below* the smallest sweep
-    point (64 exact series and 256 resident quota states against 10^3
-    tenants), so every point exercises the governed steady state — spill routing,
-    sketch maintenance, idle quota eviction.  A budget above the smallest
-    population would measure an ungoverned baseline against a governed
-    large point and report regime change, not scaling.
+    The budgets must sit *below* the smallest sweep point (the defaults:
+    64 exact series and 256 resident quota states against 10^3 tenants),
+    so every point exercises the governed steady state — spill routing,
+    sketch maintenance, idle quota eviction; a budget at or above it would
+    compare an ungoverned point with governed ones, so it raises
+    :class:`ValueError`.  The points are the arms of
+    :func:`~repro.obs.bench.interleaved_rounds` (:data:`ROUNDS` rounds, or
+    :data:`LONG_POINT_ROUNDS` for points of :data:`LONG_POINT_REQUESTS`
+    requests or more), each sampling its mean per-request cost.  The verdict
+    (``result["ok"]``) requires, with points ordered by tenant count:
 
-    The verdict (``result["ok"]``) requires, with points ordered by tenant
-    count:
-
-    * **flat overhead** — drift-normalised per-request cost
-      (``per_request_us`` rescaled by each point's adjacent machine-speed
-      probe, reported as ``per_request_us_norm``) at the largest point is
-      within ``max_overhead_ratio`` of the smallest point's;
+    * **flat overhead** — the median per-round ratio of the largest
+      point's per-request cost to the smallest's within
+      ``max_overhead_ratio``;
     * **bounded structures** at every point — resident admission states
       within ``max_resident`` (+1 per-shard rounding slack, plus states
       kept alive in flight), window tenant keys within ``tenant_budget + 1``,
@@ -376,50 +339,54 @@ def run_scale_soak(
     * **nothing lost** — the heaviest tenant is recovered through the
       shard-merged sketches at every point, and accounted request totals
       (admitted == settled + rejected narrative) hold;
-    * optional **RSS ceiling** — every point's resident set below
+    * optional **RSS ceiling** — every run's resident set below
       ``rss_ceiling_mb``.
 
-    With ``isolate`` (the default) every point runs in a freshly spawned
-    interpreter so neither allocator state nor RSS leaks between points
-    (see :func:`_run_point_isolated`); tests drive small sweeps with
+    With ``isolate`` (the default) every run of a point is a freshly
+    spawned interpreter so neither allocator state nor RSS leaks between
+    runs (see :func:`_run_point_isolated`); tests drive small sweeps with
     ``isolate=False`` to stay fast.
     """
     counts = tuple(sorted(tenant_counts))
     if not counts:
         raise ValueError("need at least one tenant count")
+    if counts[0] <= max(max_resident, tenant_budget):
+        raise ValueError(
+            f"smallest sweep point ({counts[0]} tenants) must exceed "
+            f"max_resident ({max_resident}) and tenant_budget ({tenant_budget})"
+        )
     run_point = (
         _run_point_isolated if isolate else (lambda kw: run_scale_point(**kw))
     )
-    points = [
-        run_point(
-            dict(
-                tenants=count,
-                requests=requests,
-                tenant_budget=tenant_budget,
-                top_k=top_k,
-                max_resident=max_resident,
-                zipf_s=zipf_s,
-                seed=seed,
-            )
-        )
-        for count in counts
-    ]
+    point_kwargs = dict(requests=requests, tenant_budget=tenant_budget, top_k=top_k,
+                        max_resident=max_resident, zipf_s=zipf_s, seed=seed)
+    latest: dict[int, dict] = {}
+
+    def arm(count: int):
+        def run(_lap) -> float:
+            point = run_point(dict(tenants=count, **point_kwargs))
+            # the RSS gate holds the worst run of each point
+            point["rss_mb"] = max(point["rss_mb"], latest.get(count, point)["rss_mb"])
+            latest[count] = point
+            return point["per_request_us"]
+
+        return run
+
+    measured = interleaved_rounds(
+        {str(count): arm(count) for count in counts},
+        LONG_POINT_ROUNDS if requests >= LONG_POINT_REQUESTS else ROUNDS,
+        baseline=str(counts[0]),
+        config=dict(tenant_counts=list(counts), isolate=isolate, **point_kwargs),
+    )
+    points = [latest[count] for count in counts]
+    for point in points:
+        point["per_request_us"] = measured["arms"][str(point["tenants"])]["median"]
 
     shards = 8  # AdmissionController default; per-shard cap rounds up
     resident_slack = max_resident + shards
-    # drift-normalised overhead: each point's per-request cost is rescaled
-    # by the machine-speed probe taken adjacent to its timed loop, so the
-    # gate compares tenant-count scaling rather than which point happened
-    # to run during a fast or slow stretch of a shared machine (points run
-    # minutes apart in a full sweep).  Raw values stay in the point dicts.
-    anchor_cal = points[0]["calibration_us"]
-    for p in points:
-        p["per_request_us_norm"] = (
-            p["per_request_us"] * anchor_cal / p["calibration_us"]
-        )
-    overhead_ratio = (
-        points[-1]["per_request_us_norm"] / points[0]["per_request_us_norm"]
-    )
+    # with one point, the ratio is of the point to itself
+    ratios = measured["ratios"] if len(counts) > 1 else {}
+    overhead = ratios.get(str(counts[-1])) or summarize([1.0] * measured["rounds"])
     bounded_ok = all(
         p["structures"]["admission_resident"] <= resident_slack
         and p["structures"]["rollup_tenant_keys"] <= tenant_budget + 1
@@ -430,22 +397,13 @@ def run_scale_soak(
     rss_ok = rss_ceiling_mb is None or all(
         p["rss_mb"] <= rss_ceiling_mb for p in points
     )
-    overhead_ok = overhead_ratio <= max_overhead_ratio
+    overhead_ok = overhead["median"] <= max_overhead_ratio
     return {
         "bench": "scale_soak",
-        "config": {
-            "tenant_counts": list(counts),
-            "requests": requests,
-            "tenant_budget": tenant_budget,
-            "top_k": top_k,
-            "max_resident": max_resident,
-            "zipf_s": zipf_s,
-            "seed": seed,
-            "isolate": isolate,
-        },
+        **measured,
         "points": points,
+        "overhead_ratio": overhead,
         "gates": {
-            "overhead_ratio": overhead_ratio,
             "max_overhead_ratio": max_overhead_ratio,
             "overhead_ok": overhead_ok,
             "bounded_ok": bounded_ok,

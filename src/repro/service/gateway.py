@@ -819,6 +819,7 @@ class MeteringGateway:
                         tenant.ae.log.entries[-1],
                         request_id=f"{state.request_id}#cp{state.checkpoints + 1}",
                         trace_id=trace_id,
+                        engine=worker_result.engine,
                     )
                     for batch in tenant.ae.log.drain_batches():
                         self.ledger.record_batch(tenant.tenant_id, batch)
@@ -900,6 +901,7 @@ class MeteringGateway:
                         tenant.ae.log.entries[-1],
                         request_id=state.request_id,
                         trace_id=trace_id,
+                        engine=worker_result.engine,
                     )
                     for batch in tenant.ae.log.drain_batches():
                         self.ledger.record_batch(tenant.tenant_id, batch)

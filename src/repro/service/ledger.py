@@ -207,12 +207,15 @@ class BillingLedger:
         entry: LogEntry,
         request_id: int | str | None = None,
         trace_id: str | None = None,
+        engine: str | None = None,
     ) -> Receipt:
         """Append one signed receipt to a tenant's chain (arrival order).
 
         With ``request_id`` given, enforces exactly-once billing: a second
         receipt for an id already on the chain raises
-        :class:`DuplicateReceipt` *before* anything is appended.
+        :class:`DuplicateReceipt` *before* anything is appended.  ``engine``
+        (the wasm engine that executed the billed slice) is narrated on the
+        ``receipt`` event only; it is not part of the signed receipt.
         """
         receipt = Receipt(
             tenant_id=tenant_id,
@@ -246,6 +249,7 @@ class BillingLedger:
             weighted_instructions=entry.vector.weighted_instructions,
             entry_hash=entry.entry_hash(),
             trace_id=trace_id,
+            engine=engine,
         )
         return receipt
 

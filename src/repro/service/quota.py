@@ -19,11 +19,19 @@ scale: with a ``default_quota``, unseen tenants are instantiated on first
 admit instead of requiring up-front registration, and with ``max_resident``
 the per-shard population is capped by evicting the least-recently-admitted
 *idle* lazy tenant (``in_flight == 0``; explicitly registered tenants are
-pinned and never evicted).  An evicted tenant that returns is re-admitted
-under a fresh default-quota state — per-epoch spend tracking restarts for
-it, which is the deliberate trade for O(active) rather than O(ever-seen)
-memory; evictions are counted (``acctee_quota_evictions``) so the billing
-auditor can see how much history was shed.
+pinned and never evicted).  Evictions are counted
+(``acctee_quota_evictions``) so the billing auditor can see how much
+history was shed.  An evicted tenant's per-epoch spend is not shed: it is
+folded into its shard's :class:`_EvictedSpend` (Count-Min sketches), and a
+returning tenant's fresh state is seeded from the estimate, so idling until
+eviction cannot reset an exhausted instruction budget.  Count-Min never
+underestimates, so its error only makes enforcement stricter, and the
+sketches grow with the evicted spend so that the error stays a small
+fraction of the budget (see :class:`_EvictedSpend`): a tenant never seen
+before is still admitted after thousands of budgets' worth of spend has
+been evicted.  Memory stays O(active) plus sketches proportional to the
+budgets' worth of spend evicted this epoch; they are dropped when an epoch
+resets spend.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from repro.obs.instruments import (
     GATEWAY_REJECTIONS,
     QUOTA_EVICTIONS,
 )
+from repro.obs.sketch import CountMinSketch
 from repro.service.sharding import DEFAULT_SHARDS, shard_index_for
 
 
@@ -118,9 +127,53 @@ class _TenantState:
     # registered tenants are pinned (never evicted); lazily instantiated
     # default-quota tenants are fair game for the idle LRU
     pinned: bool = True
+    # spend restored from the shard's evicted spend at admission;
+    # only spend beyond it is folded back in on the next eviction
+    seeded_spend: int = 0
 
     def __post_init__(self) -> None:
         self.tokens = float(self.quota.burst)
+
+
+#: A sketch takes evicted spend until its mean counter reaches
+#: ``budget / _FILL``; a sketch twice as wide then takes over.
+_FILL = 64
+
+
+class _EvictedSpend:
+    """One epoch's spend of a shard's evicted lazy tenants.
+
+    A single fixed :class:`~repro.obs.sketch.CountMinSketch` overestimates
+    every key by about ``total / width``, which outgrows any budget once a
+    shard evicts enough spend, and would then reject every returning or new
+    tenant.  So the spend goes into a stack of sketches instead: the newest
+    takes spend until its total reaches ``width * budget / _FILL``, then one
+    twice as wide is started, and a tenant's estimate is the sum over the
+    stack.  Each sketch's counters then average at most ``budget / _FILL``,
+    so a sketch overestimates a key by at most ``e * budget / _FILL`` (about
+    4% of the budget) with probability ``1 - delta``, and the stack holds
+    ``log2`` of the evicted budgets' worth of sketches (seven for 2,000
+    budgets).  The price is memory: ``_FILL * depth`` to twice that (256
+    to 512) counters per budget's worth of evicted spend.  The caller adds at most
+    one budget per eviction, so no single add outgrows a sketch.
+    """
+
+    __slots__ = ("budget", "sketches")
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.sketches = [CountMinSketch()]
+
+    def add(self, tenant_id: str, spend: int) -> None:
+        sketch = self.sketches[-1]
+        if sketch.total * _FILL >= sketch.width * self.budget:
+            sketch = CountMinSketch(width=2 * sketch.width)
+            self.sketches.append(sketch)
+        sketch.add(tenant_id, spend)
+
+    def estimate(self, tenant_id: str) -> int:
+        """An upper bound on the tenant's evicted spend this epoch."""
+        return sum(sketch.estimate(tenant_id) for sketch in self.sketches)
 
 
 @dataclass
@@ -129,6 +182,9 @@ class _Shard:
 
     lock: threading.Lock = field(default_factory=threading.Lock)
     tenants: dict[str, _TenantState] = field(default_factory=dict)
+    # this epoch's spend of evicted tenants; created at the first eviction
+    # that carries spend against a budget
+    evicted_spend: _EvictedSpend | None = None
 
 
 class AdmissionController:
@@ -203,6 +259,14 @@ class AdmissionController:
             if tenant_id == keep or state.pinned or state.in_flight > 0:
                 continue
             del shard.tenants[tenant_id]
+            # spend past the budget changes no admission decision; capping
+            # it keeps any one eviction within one budget's worth of sketch
+            budget = state.quota.instruction_budget or 0
+            spend = min(state.spent_instructions, budget) - state.seeded_spend
+            if spend > 0:
+                if shard.evicted_spend is None:
+                    shard.evicted_spend = _EvictedSpend(budget)
+                shard.evicted_spend.add(tenant_id, spend)
             self.evictions += 1
             # the metric is reported in batches of 64: at scale an eviction
             # happens on nearly every tail-tenant admit, and a per-event
@@ -239,6 +303,10 @@ class AdmissionController:
                 state = shard.tenants[tenant_id] = _TenantState(
                     quota=self.default_quota, pinned=False
                 )
+                if shard.evicted_spend is not None:
+                    state.spent_instructions = state.seeded_spend = (
+                        shard.evicted_spend.estimate(tenant_id)
+                    )
                 fresh = True
                 self._evict_idle(shard, keep=tenant_id)
             quota = state.quota
@@ -314,8 +382,9 @@ class AdmissionController:
         """Start a new accounting epoch: instruction budgets reset."""
         for shard in self._shards:
             with shard.lock:
+                shard.evicted_spend = None
                 for state in shard.tenants.values():
-                    state.spent_instructions = 0
+                    state.spent_instructions = state.seeded_spend = 0
 
     def _refill(self, state: _TenantState) -> None:
         now = self._clock()

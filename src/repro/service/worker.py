@@ -138,6 +138,9 @@ class WorkerResult:
     #: spans, events and metric deltas recorded while the task's trace
     #: context was active, merged by the gateway with origin-pid tagging
     telemetry: dict | None = None
+    #: the wasm engine that executed the task (``Instance.executing_engine``);
+    #: None for backends that execute no wasm
+    engine: str | None = None
 
 
 def _cached_module(task: ExecutionTask) -> Module:
@@ -255,7 +258,7 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
         max_instructions=task.max_instructions, snapshot_at=task.snapshot_at
     )
     handle = None
-    with worker_span("worker.instantiate", warm=task.warm, engine=task.engine or ""):
+    with worker_span("worker.instantiate", warm=task.warm) as instantiate_span:
         if task.warm:
             pool = _warm_pool(task)
             handle = pool.acquire(task.input_data, limits=limits)
@@ -264,6 +267,8 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
             channel = IOChannel(input_data=task.input_data)
             env = HostEnvironment(channel=channel, account_io=True)
             instance = env.instantiate(module, limits=limits, engine=task.engine)
+        engine = instance.executing_engine
+        instantiate_span.set_attribute("engine", engine)
 
     trapped = False
     trap_message = ""
@@ -286,7 +291,10 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
     if handle is not None:
         pool.release(handle)
     return WorkerResult(
-        raw=raw, exec_wall_s=time.perf_counter() - started, snapshot=snapshot_blob
+        raw=raw,
+        exec_wall_s=time.perf_counter() - started,
+        snapshot=snapshot_blob,
+        engine=engine,
     )
 
 
@@ -298,8 +306,8 @@ def _execute_resume(task: ExecutionTask, started: float) -> WorkerResult:
     every hop of a job.
     """
     with worker_span(
-        "worker.restore", snapshot_bytes=len(task.snapshot), engine=task.engine or ""
-    ):
+        "worker.restore", snapshot_bytes=len(task.snapshot)
+    ) as restore_span:
         module = _cached_module(task)
         snap = decode_snapshot(task.snapshot)
         io = snap.io or IOState()
@@ -322,6 +330,8 @@ def _execute_resume(task: ExecutionTask, started: float) -> WorkerResult:
             snap, module, imports=env.imports(), limits=limits, engine=task.engine
         )
         env.bind(instance)
+        engine = instance.executing_engine
+        restore_span.set_attribute("engine", engine)
 
     trapped = False
     trap_message = ""
@@ -342,7 +352,10 @@ def _execute_resume(task: ExecutionTask, started: float) -> WorkerResult:
     if task.fault == "corrupt":
         raw = corrupt_raw(raw)
     return WorkerResult(
-        raw=raw, exec_wall_s=time.perf_counter() - started, snapshot=snapshot_blob
+        raw=raw,
+        exec_wall_s=time.perf_counter() - started,
+        snapshot=snapshot_blob,
+        engine=engine,
     )
 
 

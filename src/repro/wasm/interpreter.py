@@ -583,6 +583,17 @@ class Instance:
         finally:
             self._call_depth -= 1
 
+    @property
+    def executing_engine(self) -> str:
+        """The engine calls run on under the current limits.
+
+        The configured :attr:`engine`, except that snapshot-armed runs
+        always take the capture interpreter (``"legacy"``).
+        """
+        if self._engine is None or self.limits.snapshot_at is not None:
+            return "legacy"
+        return self.engine
+
     # -- the main loop -----------------------------------------------------------
 
     def _exec_function(

@@ -221,19 +221,23 @@ def test_tenant_table_truncates_to_terminal_height(monkeypatch):
 
 def test_soak_cli_writes_gated_bench_json(tmp_path, capsys):
     out = tmp_path / "scale.json"
+    # --max-resident below the smallest point: both points run governed
     assert main([
         "soak", "--tenants", "200,2000", "--requests", "1500",
-        "--no-isolate", "--out", str(out),
+        "--max-resident", "128", "--no-isolate", "--out", str(out),
     ]) == 0
     printed = capsys.readouterr().out
     assert "overhead ratio" in printed
     assert "gates:" in printed
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text())["scale_soak"]
     assert report["ok"] is True
     assert [p["tenants"] for p in report["points"]] == [200, 2000]
+    assert report["overhead_ratio"]["n"] == report["rounds"]
+    assert report["config"]["max_resident"] == 128
     for point in report["points"]:
         assert point["structures"]["rollup_tracked"] <= 64
-        assert point["per_request_us_norm"] > 0
+        assert point["structures"]["admission_evictions"] > 0
+        assert point["per_request_us"] > 0
 
 
 def test_soak_cli_exits_nonzero_on_gate_failure(tmp_path, capsys):
@@ -241,8 +245,19 @@ def test_soak_cli_exits_nonzero_on_gate_failure(tmp_path, capsys):
     # an impossible flatness bound forces the overhead gate to fail
     assert main([
         "soak", "--tenants", "200,2000", "--requests", "800",
-        "--no-isolate", "--max-overhead-ratio", "0.01", "--out", str(out),
+        "--max-resident", "128", "--no-isolate",
+        "--max-overhead-ratio", "0.01", "--out", str(out),
     ]) == 1
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text())["scale_soak"]
     assert report["ok"] is False
     assert report["gates"]["overhead_ok"] is False
+
+
+def test_soak_rejects_budgets_at_or_above_smallest_point():
+    from repro.obs.soak import run_scale_soak
+
+    with pytest.raises(ValueError, match="must exceed"):
+        run_scale_soak(tenant_counts=(200, 2000), requests=10, isolate=False)
+    with pytest.raises(ValueError, match="must exceed"):
+        run_scale_soak(tenant_counts=(200, 2000), requests=10,
+                       max_resident=128, tenant_budget=200, isolate=False)

@@ -166,3 +166,65 @@ def test_settled_counter_matches_admitted(controller):
     assert stats["settled"] == 3
     assert stats["in_flight"] == 2
     assert stats["admitted"] - stats["in_flight"] == stats["settled"]
+
+
+def test_evicted_tenant_cannot_dodge_its_instruction_budget(clock):
+    """Idling until eviction must not reset a lazy tenant's epoch spend."""
+    controller = AdmissionController(
+        clock=clock,
+        shards=1,
+        default_quota=TenantQuota(instruction_budget=1_000),
+        max_resident=1,
+    )
+
+    def evict_spender():
+        controller.admit("other")  # over the cap: the idle spender goes
+        controller.settle("other")
+
+    controller.admit("spender")
+    controller.settle("spender", weighted_instructions=1_000)
+    with pytest.raises(InstructionBudgetExhausted):
+        controller.admit("spender")
+    evict_spender()
+    assert controller.evictions == 1
+    # the returning tenant is seeded with its evicted spend: still exhausted
+    with pytest.raises(InstructionBudgetExhausted):
+        controller.admit("spender")
+    assert controller.stats("spender")["spent_instructions"] == 1_000
+    # a second round trip adds nothing new, so the spend is not counted twice
+    evict_spender()
+    with pytest.raises(InstructionBudgetExhausted):
+        controller.admit("spender")
+    assert controller.stats("spender")["spent_instructions"] == 1_000
+    # a new epoch forgets evicted spend along with resident spend
+    evict_spender()
+    controller.reset_epoch()
+    controller.admit("spender")
+    assert controller.stats("spender")["spent_instructions"] == 0
+
+
+def test_evicted_spend_error_stays_a_fraction_of_the_budget(clock):
+    """Thousands of evicted spenders must not lock out other tenants.
+
+    3,000 tenants each spend 60% of the budget and are evicted, 1,800
+    budgets' worth of spend in one shard: a single 1024-wide sketch would
+    overestimate every key by about 1.8 budgets.
+    """
+    budget = 1_000
+    controller = AdmissionController(
+        clock=clock,
+        shards=1,
+        default_quota=TenantQuota(instruction_budget=budget),
+        max_resident=1,
+    )
+    spenders = [f"spender-{i}" for i in range(3_000)]
+    for tenant in spenders:
+        controller.admit(tenant)
+        controller.settle(tenant, weighted_instructions=600)
+    assert controller.evictions == len(spenders) - 1
+    for tenant in ("never-seen", spenders[0], spenders[1_500]):
+        controller.admit(tenant)
+        spent = controller.stats(tenant)["spent_instructions"]
+        expected = 0 if tenant == "never-seen" else 600
+        assert expected <= spent < expected + budget // 4
+        controller.settle(tenant)

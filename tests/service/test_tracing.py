@@ -98,6 +98,44 @@ class TestStitchedTrace:
         # checkpoint signing got its own gateway-side span under the root
         assert sum(s.name == "gateway.checkpoint" for s in spans) == checkpoints
 
+    def test_spans_and_receipts_name_the_engine_that_ran(self):
+        """Preempted slices run snapshot-armed, which always executes on the
+        capture interpreter: spans and receipt events say ``legacy`` even
+        though the gateway is configured for ``compile``."""
+        gw, tracer, log = traced_gateway(
+            preempt_after=150, config=SandboxConfig(engine="compile")
+        )
+        try:
+            gw.register_tenant("alice", minic=MINIC_SUM)
+            gw.execute("alice", "total", 40)
+            assert gw.resilience_stats()["preemptions"] > 0
+        finally:
+            gw.shutdown()
+        engines = [
+            s.attributes["engine"]
+            for s in tracer.finished()
+            if s.name in ("worker.instantiate", "worker.restore")
+        ]
+        receipts = [e.fields for e in log.events() if e.kind == "receipt"]
+        assert len(engines) >= 2 and len(receipts) == len(engines)
+        assert set(engines) == {"legacy"}
+        assert {r["engine"] for r in receipts} == {"legacy"}
+        # unarmed, the configured engine runs and is named
+        gw, tracer, log = traced_gateway(config=SandboxConfig(engine="compile"))
+        try:
+            gw.register_tenant("alice", minic=MINIC_SUM)
+            gw.execute("alice", "total", 40)
+        finally:
+            gw.shutdown()
+        assert {
+            s.attributes["engine"]
+            for s in tracer.finished()
+            if s.name == "worker.instantiate"
+        } == {"compile"}
+        assert [e.fields["engine"] for e in log.events() if e.kind == "receipt"] == [
+            "compile"
+        ]
+
     def test_receipts_carry_recomputable_trace_id(self):
         gw, _tracer, _log = traced_gateway(preempt_after=150)
         try:
